@@ -221,11 +221,7 @@ func runSim(c simConfig) (*load.Summary, error) {
 		}
 		sc := chaos.GenerateScenario(cfg, c.faultSeed, classes, true, end)
 		opts.Filter = sc.Filter
-		for _, plan := range sc.Crashes {
-			opts.Crashes = append(opts.Crashes, load.Crash{
-				Proc: plan.Proc, At: plan.At, RestartAt: plan.RestartAt, Hard: plan.Hard,
-			})
-		}
+		opts.Crashes = sc.Crashes
 		opts.FaultDesc = strings.Join(sc.Desc, "; ")
 		// Anchor the recovery analysis at the first crash when there is
 		// one; pure network-fault schedules start their windows at

@@ -5,7 +5,7 @@ import (
 	"fmt"
 
 	"quorumselect/internal/ids"
-	"quorumselect/internal/xpaxos"
+	"quorumselect/internal/simcluster"
 )
 
 // Phase tells a checker where in the run it is being evaluated.
@@ -63,7 +63,7 @@ func (noSuspicionChecker) Name() string { return "no-suspicion" }
 func (noSuspicionChecker) Check(r *RunState, _ Phase) error {
 	for _, p := range r.cluster.cfg.All() {
 		m := r.cluster.members[p]
-		if !m.running() || m.host.Store == nil {
+		if !r.cluster.Running(p) || m.host.Store == nil {
 			continue
 		}
 		q := m.host.CurrentQuorum()
@@ -86,7 +86,7 @@ func (accuracyChecker) Name() string { return "detector-accuracy" }
 func (accuracyChecker) Check(r *RunState, _ Phase) error {
 	for _, p := range r.cluster.cfg.All() {
 		m := r.cluster.members[p]
-		if !m.running() {
+		if !r.cluster.Running(p) {
 			continue
 		}
 		for _, q := range r.cluster.cfg.All() {
@@ -119,7 +119,7 @@ func (completenessChecker) Check(r *RunState, phase Phase) error {
 		}
 		for _, p := range r.cluster.cfg.All() {
 			m := r.cluster.members[p]
-			if !m.running() {
+			if !r.cluster.Running(p) {
 				continue
 			}
 			if !m.host.Detector.Suspected().Contains(crashed) {
@@ -148,7 +148,7 @@ func (agreementChecker) Check(r *RunState, phase Phase) error {
 	var refProc ids.ProcessID
 	for _, p := range r.cluster.cfg.All() {
 		m := r.cluster.members[p]
-		if !m.running() || m.host.Store == nil || r.Scenario.Restarted(p) {
+		if !r.cluster.Running(p) || m.host.Store == nil || r.Scenario.Restarted(p) {
 			continue
 		}
 		q := m.host.CurrentQuorum()
@@ -180,7 +180,7 @@ func (t *terminationChecker) Check(r *RunState, phase Phase) error {
 		t.snap = make(map[ids.ProcessID]int, r.cluster.cfg.N)
 		for _, p := range r.cluster.cfg.All() {
 			m := r.cluster.members[p]
-			if m.running() && m.host.Store != nil {
+			if r.cluster.Running(p) && m.host.Store != nil {
 				t.snap[p] = len(m.host.Quorums())
 			}
 		}
@@ -190,7 +190,7 @@ func (t *terminationChecker) Check(r *RunState, phase Phase) error {
 		}
 		for _, p := range r.cluster.cfg.All() {
 			m := r.cluster.members[p]
-			if !m.running() || m.host.Store == nil || r.Scenario.Restarted(p) {
+			if !r.cluster.Running(p) || m.host.Store == nil || r.Scenario.Restarted(p) {
 				continue
 			}
 			was, ok := t.snap[p]
@@ -206,69 +206,14 @@ func (t *terminationChecker) Check(r *RunState, phase Phase) error {
 }
 
 // historyChecker verifies cross-replica replicated-history agreement at
-// every instant: each replica executes in strictly increasing slot
-// order, and any slot executed by two replicas carries the same request
-// and result. Alignment is by slot, not list index — a replica that
-// caught up through a checkpoint transfer legitimately skips the slots
-// the checkpoint subsumes. Crashed replicas keep their frozen history
-// and stay in the comparison.
+// every instant (simcluster.CheckHistories). Crashed replicas keep their
+// frozen history and stay in the comparison.
 type historyChecker struct{}
 
 func (historyChecker) Name() string { return "history-agreement" }
 
 func (historyChecker) Check(r *RunState, _ Phase) error {
-	procs := r.cluster.cfg.All()
-	hists := make([][]xpaxos.Execution, len(procs))
-	for i, p := range procs {
-		h := r.history(p)
-		// Slots are non-decreasing: a batched slot executes one entry
-		// per request, all under the same slot number.
-		for k := 1; k < len(h); k++ {
-			if h[k].Slot < h[k-1].Slot {
-				return fmt.Errorf("%s executed slot %d after slot %d (out of order)",
-					p, h[k].Slot, h[k-1].Slot)
-			}
-		}
-		hists[i] = h
-	}
-	for i := 0; i < len(procs); i++ {
-		for j := i + 1; j < len(procs); j++ {
-			a, b := hists[i], hists[j]
-			for x, y := 0, 0; x < len(a) && y < len(b); {
-				if a[x].Slot < b[y].Slot {
-					x++
-					continue
-				}
-				if a[x].Slot > b[y].Slot {
-					y++
-					continue
-				}
-				s := a[x].Slot
-				x2, y2 := x, y
-				for x2 < len(a) && a[x2].Slot == s {
-					x2++
-				}
-				for y2 < len(b) && b[y2].Slot == s {
-					y2++
-				}
-				if x2-x != y2-y {
-					return fmt.Errorf("histories diverge at slot %d: %s executed %d requests, %s executed %d",
-						s, procs[i], x2-x, procs[j], y2-y)
-				}
-				for k := 0; k < x2-x; k++ {
-					ea, eb := a[x+k], b[y+k]
-					if ea.Client != eb.Client || ea.Seq != eb.Seq ||
-						!bytes.Equal(ea.Op, eb.Op) || !bytes.Equal(ea.Result, eb.Result) {
-						return fmt.Errorf(
-							"histories diverge at slot %d: %s executed client=%d seq=%d, %s executed client=%d seq=%d",
-							s, procs[i], ea.Client, ea.Seq, procs[j], eb.Client, eb.Seq)
-					}
-				}
-				x, y = x2, y2
-			}
-		}
-	}
-	return nil
+	return simcluster.CheckHistories(r.cluster.cfg.All(), r.history)
 }
 
 // recoveryChecker verifies crash-restart durability: every restarted
@@ -291,8 +236,7 @@ func (recoveryChecker) Check(r *RunState, phase Phase) error {
 		if !ok || !r.Scenario.Restarted(p) {
 			continue
 		}
-		m := r.cluster.members[p]
-		if !m.running() {
+		if !r.cluster.Running(p) {
 			return fmt.Errorf("%s never came back up after its restart", p)
 		}
 		cur := r.history(p)
@@ -326,18 +270,7 @@ func (livenessChecker) Check(r *RunState, phase Phase) error {
 	if phase != PhaseFinal || r.probes == 0 {
 		return nil
 	}
-	best, bestProc := -1, ids.ProcessID(0)
-	for _, p := range r.cluster.cfg.All() {
-		seen := make(map[uint64]bool)
-		for _, e := range r.history(p) {
-			if e.Client == probeClient {
-				seen[e.Seq] = true
-			}
-		}
-		if len(seen) > best {
-			best, bestProc = len(seen), p
-		}
-	}
+	best, bestProc := simcluster.Executed(r.cluster.cfg.All(), r.history, probeClient)
 	if best < r.probes {
 		return fmt.Errorf("only %d of %d post-fault probes executed (best replica %s)",
 			best, r.probes, bestProc)

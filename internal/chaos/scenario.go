@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"quorumselect/internal/adversary"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/sim"
+	"quorumselect/internal/simcluster"
 )
 
 // FaultClass names one of the paper's §II failure classes as the
@@ -65,38 +65,7 @@ func AllFaults() []FaultClass {
 
 // ParseFaults parses a comma-separated fault-class list ("crash,mutate");
 // "all" or "" selects every class.
-func ParseFaults(s string) ([]FaultClass, error) {
-	s = strings.TrimSpace(s)
-	if s == "" || s == "all" {
-		return AllFaults(), nil
-	}
-	known := make(map[FaultClass]bool)
-	for _, f := range AllFaults() {
-		known[f] = true
-	}
-	var out []FaultClass
-	for _, part := range strings.Split(s, ",") {
-		f := FaultClass(strings.TrimSpace(part))
-		if !known[f] {
-			return nil, fmt.Errorf("chaos: unknown fault class %q", f)
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// CrashPlan schedules one crash (and optional restart) of a faulty
-// process.
-type CrashPlan struct {
-	Proc ids.ProcessID
-	At   time.Duration
-	// RestartAt resurrects the process from its durable state (zero:
-	// stays down). Only set when the cluster is restart-capable.
-	RestartAt time.Duration
-	// Hard marks a power-loss crash: unsynced writes are dropped from
-	// the process's storage backend before it stops.
-	Hard bool
-}
+func ParseFaults(s string) ([]FaultClass, error) { return parseList(s, AllFaults(), "fault class") }
 
 // Scenario is one fully derived fault schedule: everything RunSeed
 // needs to replay a run is determined by (Config, Seed).
@@ -104,8 +73,9 @@ type Scenario struct {
 	Seed int64
 	// Faulty is the set of misbehaving processes, |Faulty| ≤ f.
 	Faulty ids.ProcSet
-	// Crashes lists the crash/restart churn (faults of class crash).
-	Crashes []CrashPlan
+	// Crashes lists the crash/restart churn (faults of class crash). A
+	// restart is only planned on a restart-capable cluster.
+	Crashes []simcluster.Crash
 	// Filter is the composed network-fault filter for the run.
 	Filter sim.Filter
 	// FaultEnd is when all fault windows have closed (crashes excepted:
@@ -177,7 +147,7 @@ func GenerateScenario(cfg ids.Config, seed int64, classes []FaultClass, restarta
 		}
 		switch class {
 		case FaultCrash:
-			plan := CrashPlan{Proc: p, At: from}
+			plan := simcluster.Crash{Proc: p, At: from}
 			if restartable && rng.Intn(2) == 0 {
 				plan.RestartAt = until
 				sc.Desc = append(sc.Desc, fmt.Sprintf("%s: crash at %s, restart at %s", p, from, until))
@@ -186,7 +156,7 @@ func GenerateScenario(cfg ids.Config, seed int64, classes []FaultClass, restarta
 			}
 			sc.Crashes = append(sc.Crashes, plan)
 		case FaultCrashRestart:
-			plan := CrashPlan{Proc: p, At: from, Hard: true}
+			plan := simcluster.Crash{Proc: p, At: from, Hard: true}
 			if restartable {
 				plan.RestartAt = until
 				sc.Desc = append(sc.Desc, fmt.Sprintf("%s: hard crash at %s, recover at %s", p, from, until))

@@ -10,9 +10,9 @@ import (
 	"quorumselect/internal/fleet"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
-	"quorumselect/internal/obs"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
+	"quorumselect/internal/simcluster"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
 )
@@ -52,13 +52,10 @@ type ShardedConfig struct {
 // and stops at the first invariant violation.
 func RunSharded(cfg ShardedConfig) Result {
 	cfg = cfg.shardedDefaults()
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.FirstSeed + int64(i)
-		if v, _ := runShardedSeed(cfg, seed, false); v != nil {
-			return Result{Protocol: "sharded", Seeds: i + 1, Violation: v}
-		}
-	}
-	return Result{Protocol: "sharded", Seeds: cfg.Seeds}
+	return sweep("sharded", cfg.FirstSeed, cfg.Seeds, func(seed int64) *Violation {
+		v, _ := runShardedSeed(cfg, seed, false)
+		return v
+	})
 }
 
 // ReplaySharded executes one seed and returns the full dump regardless
@@ -107,9 +104,8 @@ func (c ShardedConfig) shardedDefaults() ShardedConfig {
 // shardedRun is one live sharded cluster under the scenario.
 type shardedRun struct {
 	cfg      ShardedConfig
-	idsCfg   ids.Config
-	net      *sim.Network
-	bus      *obs.Bus
+	procs    []ids.ProcessID
+	cl       *simcluster.Cluster
 	replicas map[int]map[ids.ProcessID]*xpaxos.Replica
 	leaders  []ids.ProcessID
 	victim   ids.ProcessID // shard 0's initial leader
@@ -121,8 +117,7 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	idsCfg := ids.MustConfig(cfg.N, cfg.F)
 	r := &shardedRun{
 		cfg:      cfg,
-		idsCfg:   idsCfg,
-		bus:      obs.NewBus(0),
+		procs:    idsCfg.All(),
 		replicas: make(map[int]map[ids.ProcessID]*xpaxos.Replica, cfg.Shards),
 		leaders:  make([]ids.ProcessID, cfg.Shards),
 	}
@@ -142,23 +137,6 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	}
 	r.victim = r.leaders[0]
 
-	nodes := make(map[ids.ProcessID]runtime.Node, cfg.N)
-	for _, p := range idsCfg.All() {
-		p := p
-		nodes[p] = fleet.New(fleet.Options{
-			Shards: cfg.Shards,
-			NewShard: func(s int) runtime.Node {
-				n, rep := xpaxos.NewQSNode(xpaxos.Options{
-					InitialView:        views[s],
-					Window:             cfg.Window,
-					CheckpointInterval: 8,
-				}, core.DefaultNodeOptions())
-				r.replicas[s][p] = rep
-				return n
-			},
-		})
-	}
-
 	// The fault: drop every shard-0 envelope to or from the victim
 	// while the window is open. A pure function of (from, to, frame,
 	// now), so the schedule is identical on every replay of the seed.
@@ -176,15 +154,30 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 		return sim.Verdict{}
 	})
 
-	r.net = sim.NewNetwork(idsCfg, nodes, sim.Options{
-		Metrics: cfg.Metrics,
-		Seed:    seed,
-		Latency: sim.UniformLatency(2*time.Millisecond, 12*time.Millisecond),
-		Filter:  filter,
-		Auth:    crypto.NewHMACRing(idsCfg, []byte("chaos-master")),
-		Events:  r.bus,
+	r.cl = simcluster.New(simcluster.Options{
+		Config: idsCfg,
+		Sim: sim.Options{
+			Metrics: cfg.Metrics,
+			Seed:    seed,
+			Filter:  filter,
+			Auth:    crypto.NewHMACRing(idsCfg, []byte("chaos-master")),
+		},
+		New: func(p ids.ProcessID, opts core.NodeOptions) runtime.Node {
+			return fleet.New(fleet.Options{
+				Shards: cfg.Shards,
+				NewShard: func(s int) runtime.Node {
+					n, rep := xpaxos.NewQSNode(xpaxos.Options{
+						InitialView:        views[s],
+						Window:             cfg.Window,
+						CheckpointInterval: 8,
+					}, opts)
+					r.replicas[s][p] = rep
+					return n
+				},
+			})
+		},
 	})
-	defer r.net.Close()
+	defer r.cl.Net.Close()
 
 	// Workload on every live shard (1..S-1), spread across the open
 	// partition and submitted at each shard's leader. Shard 0 gets no
@@ -200,7 +193,7 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 				Seq:    uint64(i),
 				Op:     []byte(fmt.Sprintf("set s%dk%d v%d", s, i, i)),
 			}
-			r.net.At(cfg.PartitionFrom+time.Duration(i)*gap, func() {
+			r.cl.Net.At(cfg.PartitionFrom+time.Duration(i)*gap, func() {
 				r.replicas[s][r.leaders[s]].Submit(req)
 			})
 		}
@@ -209,9 +202,9 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	// Phase 1 — partition still open: every live shard must have
 	// committed its full workload while shard 0's leader was cut off.
 	var v *Violation
-	r.net.Run(cfg.PartitionUntil)
+	r.cl.Net.Run(cfg.PartitionUntil)
 	for s := 1; v == nil && s < cfg.Shards; s++ {
-		if got := r.executed(s, uint64(100+s)); got < cfg.Requests {
+		if got, _ := simcluster.Executed(r.procs, r.history(s), uint64(100+s)); got < cfg.Requests {
 			v = r.violation(seed, "sharded-liveness", fmt.Sprintf(
 				"shard %d committed %d/%d requests while shard 0's leader %s was partitioned",
 				s, got, cfg.Requests, r.victim))
@@ -223,19 +216,15 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	// non-leader so they exercise forwarding under whatever quorum each
 	// shard settled on.
 	if v == nil {
-		r.net.Run(cfg.Settle)
+		r.cl.Net.Run(cfg.Settle)
 		for s := 0; s < cfg.Shards; s++ {
 			for i := 1; i <= probeCount; i++ {
-				r.replicas[s][ids.ProcessID(r.idsCfg.N)].Submit(&wire.Request{
-					Client: probeClient,
-					Seq:    uint64(i),
-					Op:     []byte(fmt.Sprintf("set probe p%d", i)),
-				})
+				r.replicas[s][ids.ProcessID(cfg.N)].Submit(probe(i))
 			}
 		}
-		r.net.Run(cfg.Horizon)
+		r.cl.Net.Run(cfg.Horizon)
 		for s := 0; v == nil && s < cfg.Shards; s++ {
-			if got := r.executed(s, probeClient); got < probeCount {
+			if got, _ := simcluster.Executed(r.procs, r.history(s), probeClient); got < probeCount {
 				v = r.violation(seed, "sharded-heal", fmt.Sprintf(
 					"shard %d executed %d/%d post-heal probes", s, got, probeCount))
 			}
@@ -247,73 +236,22 @@ func runShardedSeed(cfg ShardedConfig, seed int64, alwaysDump bool) (*Violation,
 	// are compared independently; cross-shard histories share nothing.
 	if v == nil {
 		for s := 0; v == nil && s < cfg.Shards; s++ {
-			if err := r.historiesAgree(s); err != nil {
-				v = r.violation(seed, "sharded-history", err.Error())
+			if err := simcluster.CheckHistories(r.procs, r.history(s)); err != nil {
+				v = r.violation(seed, "sharded-history", fmt.Sprintf("shard %d: %v", s, err))
 			}
 		}
 	}
 
-	var dump string
-	if v != nil || alwaysDump {
-		dump = r.dump(seed, v)
-	}
-	if v != nil {
-		v.Dump = dump
-	}
-	return v, dump
+	return withDump(v, alwaysDump, func() string { return r.dump(seed, v) })
 }
 
-// executed returns the best replica's count of distinct sequence
-// numbers this shard executed for the client — system progress, the
-// way the generic liveness checker counts it.
-func (r *shardedRun) executed(shard int, client uint64) int {
-	best := 0
-	for _, p := range r.idsCfg.All() {
-		seen := make(map[uint64]bool)
-		for _, e := range r.replicas[shard][p].Executions() {
-			if e.Client == client {
-				seen[e.Seq] = true
-			}
-		}
-		if len(seen) > best {
-			best = len(seen)
-		}
-	}
-	return best
-}
-
-// historiesAgree verifies slot-aligned agreement across the shard's
-// replicas, the historyChecker invariant scoped to one group.
-func (r *shardedRun) historiesAgree(shard int) error {
-	procs := r.idsCfg.All()
-	for i := 0; i < len(procs); i++ {
-		for j := i + 1; j < len(procs); j++ {
-			a := r.replicas[shard][procs[i]].Executions()
-			b := r.replicas[shard][procs[j]].Executions()
-			for x, y := 0, 0; x < len(a) && y < len(b); {
-				switch {
-				case a[x].Slot < b[y].Slot:
-					x++
-				case a[x].Slot > b[y].Slot:
-					y++
-				default:
-					if a[x].Client != b[y].Client || a[x].Seq != b[y].Seq {
-						return fmt.Errorf(
-							"shard %d histories diverge at slot %d: %s executed client=%d seq=%d, %s executed client=%d seq=%d",
-							shard, a[x].Slot, procs[i], a[x].Client, a[x].Seq,
-							procs[j], b[y].Client, b[y].Seq)
-					}
-					x++
-					y++
-				}
-			}
-		}
-	}
-	return nil
+// history returns one shard's replicated histories.
+func (r *shardedRun) history(shard int) simcluster.History {
+	return func(p ids.ProcessID) []xpaxos.Execution { return r.replicas[shard][p].Executions() }
 }
 
 func (r *shardedRun) violation(seed int64, checker, detail string) *Violation {
-	return &Violation{Seed: seed, Checker: checker, At: r.net.Now(), Detail: detail}
+	return &Violation{Seed: seed, Checker: checker, At: r.cl.Net.Now(), Detail: detail}
 }
 
 // dump renders the replayable evidence: schedule, per-shard end state,
@@ -325,17 +263,13 @@ func (r *shardedRun) dump(seed int64, v *Violation) string {
 		seed, r.cfg.N, r.cfg.F, r.cfg.Shards, r.cfg.Window)
 	fmt.Fprintf(&b, "schedule:\n  shard 0 leader %s: shard-0 envelopes dropped in [%s,%s)\n",
 		r.victim, r.cfg.PartitionFrom, r.cfg.PartitionUntil)
-	if v != nil {
-		fmt.Fprintf(&b, "violation: checker=%s at=%s\n  %s\n", v.Checker, v.At, v.Detail)
-	} else {
-		b.WriteString("no violation\n")
-	}
+	v.report(&b, "no violation")
 	b.WriteString("shards:\n")
 	for s := 0; s < r.cfg.Shards; s++ {
 		lead := r.replicas[s][r.leaders[s]]
 		fmt.Fprintf(&b, "  shard %d: leader0=%s view=%d viewchanges=%d executed=[",
 			s, r.leaders[s], lead.View(), lead.ViewChanges())
-		for i, p := range r.idsCfg.All() {
+		for i, p := range r.procs {
 			if i > 0 {
 				b.WriteByte(' ')
 			}
@@ -343,13 +277,6 @@ func (r *shardedRun) dump(seed int64, v *Violation) string {
 		}
 		b.WriteString("]\n")
 	}
-	evs := r.bus.Events()
-	if len(evs) > dumpEvents {
-		evs = evs[len(evs)-dumpEvents:]
-	}
-	fmt.Fprintf(&b, "events (last %d):\n", len(evs))
-	for _, e := range evs {
-		fmt.Fprintf(&b, "  %s\n", e)
-	}
+	r.cl.WriteEvents(&b)
 	return b.String()
 }

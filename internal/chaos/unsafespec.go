@@ -9,10 +9,10 @@ import (
 	"quorumselect/internal/crypto"
 	"quorumselect/internal/ids"
 	"quorumselect/internal/metrics"
-	"quorumselect/internal/obs"
 	"quorumselect/internal/quorum"
 	"quorumselect/internal/runtime"
 	"quorumselect/internal/sim"
+	"quorumselect/internal/simcluster"
 	"quorumselect/internal/wire"
 	"quorumselect/internal/xpaxos"
 )
@@ -87,13 +87,10 @@ func (c UnsafeSpecConfig) unsafeDefaults() UnsafeSpecConfig {
 // and its absence is reported by the caller as the failure.
 func RunUnsafeSpec(cfg UnsafeSpecConfig) Result {
 	cfg = cfg.unsafeDefaults()
-	for i := 0; i < cfg.Seeds; i++ {
-		seed := cfg.FirstSeed + int64(i)
-		if v, _ := runUnsafeSpecSeed(cfg, seed, false); v != nil {
-			return Result{Protocol: "unsafe-spec", Seeds: i + 1, Violation: v}
-		}
-	}
-	return Result{Protocol: "unsafe-spec", Seeds: cfg.Seeds}
+	return sweep("unsafe-spec", cfg.FirstSeed, cfg.Seeds, func(seed int64) *Violation {
+		v, _ := runUnsafeSpecSeed(cfg, seed, false)
+		return v
+	})
 }
 
 // ReplayUnsafeSpec executes one seed and returns the full dump
@@ -108,17 +105,17 @@ func ReplayUnsafeSpec(cfg UnsafeSpecConfig, seed int64) (string, *Violation) {
 
 type unsafeSpecRun struct {
 	cfg      UnsafeSpecConfig
-	idsCfg   ids.Config
-	net      *sim.Network
-	bus      *obs.Bus
+	procs    []ids.ProcessID
+	cl       *simcluster.Cluster
 	nodes    map[ids.ProcessID]*core.Node
 	replicas map[ids.ProcessID]*xpaxos.Replica
-	sideA    ids.ProcSet // members of the first disjoint quorum
+	pair     [2][]ids.ProcessID // the staged disjoint quorums
+	sideA    ids.ProcSet        // members of the first disjoint quorum
 	reports  []quorum.Report
 }
 
 func runUnsafeSpecSeed(cfg UnsafeSpecConfig, seed int64, alwaysDump bool) (*Violation, string) {
-	r := &unsafeSpecRun{cfg: cfg, bus: obs.NewBus(0)}
+	r := &unsafeSpecRun{cfg: cfg}
 
 	sys, err := quorum.ParseSpec(cfg.Spec)
 	if err != nil {
@@ -150,14 +147,7 @@ func runUnsafeSpecSeed(cfg UnsafeSpecConfig, seed int64, alwaysDump bool) (*Viol
 			Detail: fmt.Sprintf("seeded sampler accepted a spec the exact checker rejects (%v)", exact.Err())}
 	}
 	if !cfg.Force || v != nil {
-		var dump string
-		if v != nil || alwaysDump {
-			dump = r.gateDump(seed, v)
-		}
-		if v != nil {
-			v.Dump = dump
-		}
-		return v, dump
+		return withDump(v, alwaysDump, func() string { return r.dump(seed, v) })
 	}
 
 	// Forced past the gate: boot the cluster with the two lex-first
@@ -172,30 +162,14 @@ func runUnsafeSpecSeed(cfg UnsafeSpecConfig, seed int64, alwaysDump bool) (*Viol
 	if !ok {
 		v = &Violation{Seed: seed, Checker: "unsafe-spec-config",
 			Detail: "spec rejected by checker but no enumerable disjoint quorum pair to force"}
-		v.Dump = r.gateDump(seed, v)
-		return v, v.Dump
+		return withDump(v, true, func() string { return r.dump(seed, v) })
 	}
 	viewA, viewB := quorumViewIndex(mq, pair[0]), quorumViewIndex(mq, pair[1])
-	r.sideA = ids.FromSlice(pair[0])
-	n := sys.N()
-	r.idsCfg = ids.MustConfig(n, 1)
-	r.nodes = make(map[ids.ProcessID]*core.Node, n)
-	r.replicas = make(map[ids.ProcessID]*xpaxos.Replica, n)
-
-	simNodes := make(map[ids.ProcessID]runtime.Node, n)
-	for _, p := range r.idsCfg.All() {
-		view := uint64(viewB)
-		if r.sideA.Contains(p) {
-			view = uint64(viewA)
-		}
-		nodeOpts := core.DefaultNodeOptions()
-		nodeOpts.HeartbeatPeriod = 0
-		nodeOpts.Quorum = sys
-		node, rep := xpaxos.NewQSNode(xpaxos.Options{InitialView: view}, nodeOpts)
-		r.nodes[p] = node
-		r.replicas[p] = rep
-		simNodes[p] = node
-	}
+	r.pair, r.sideA = pair, ids.FromSlice(pair[0])
+	idsCfg := ids.MustConfig(sys.N(), 1)
+	r.procs = idsCfg.All()
+	r.nodes = make(map[ids.ProcessID]*core.Node, idsCfg.N)
+	r.replicas = make(map[ids.ProcessID]*xpaxos.Replica, idsCfg.N)
 
 	// The fault: drop every cross-side frame until HealAt. Pure
 	// function of (from, to, now) — identical on every replay.
@@ -207,47 +181,54 @@ func runUnsafeSpecSeed(cfg UnsafeSpecConfig, seed int64, alwaysDump bool) (*Viol
 		return sim.Verdict{}
 	})
 
-	r.net = sim.NewNetwork(r.idsCfg, simNodes, sim.Options{
-		Metrics: cfg.Metrics,
-		Seed:    seed,
-		Latency: sim.UniformLatency(2*time.Millisecond, 12*time.Millisecond),
-		Filter:  filter,
-		Auth:    crypto.NewHMACRing(r.idsCfg, []byte("chaos-master")),
-		Events:  r.bus,
+	r.cl = simcluster.New(simcluster.Options{
+		Config: idsCfg,
+		Sim: sim.Options{
+			Metrics: cfg.Metrics,
+			Seed:    seed,
+			Filter:  filter,
+			Auth:    crypto.NewHMACRing(idsCfg, []byte("chaos-master")),
+		},
+		New: func(p ids.ProcessID, opts core.NodeOptions) runtime.Node {
+			view := uint64(viewB)
+			if sideA.Contains(p) {
+				view = uint64(viewA)
+			}
+			opts.HeartbeatPeriod = 0
+			opts.Quorum = sys
+			node, rep := xpaxos.NewQSNode(xpaxos.Options{InitialView: view}, opts)
+			r.nodes[p] = node
+			r.replicas[p] = rep
+			return node
+		},
 	})
-	defer r.net.Close()
+	defer r.cl.Net.Close()
 
 	leaderA, leaderB := pair[0][0], pair[1][0]
 	// While partitioned, each side's quorum certifies its own slot 1.
-	r.net.At(5*time.Millisecond, func() {
+	r.cl.Net.At(5*time.Millisecond, func() {
 		r.replicas[leaderA].Submit(&wire.Request{Client: 100, Seq: 1, Op: []byte("set side A1")})
 	})
-	r.net.At(5*time.Millisecond, func() {
+	r.cl.Net.At(5*time.Millisecond, func() {
 		r.replicas[leaderB].Submit(&wire.Request{Client: 300, Seq: 1, Op: []byte("set side B1")})
 	})
 	// After the heal, side A commits slot 2; its commit certificate —
 	// signed only by side A's quorum — reaches side B, whose replicas
 	// accept it through System.IsQuorum: the wire-level proof that the
 	// cert path trusts whatever the spec calls a quorum.
-	r.net.At(cfg.SettleAt, func() {
+	r.cl.Net.At(cfg.SettleAt, func() {
 		r.replicas[leaderA].Submit(&wire.Request{Client: 100, Seq: 2, Op: []byte("set side A2")})
 	})
-	r.net.Run(cfg.Horizon)
+	r.cl.Net.Run(cfg.Horizon)
 
 	// Expected evidence, in order of strength: both disjoint quorums
 	// certified slot 1 (divergent histories), and side B adopted side
 	// A's slot-2 certificate across the healed link.
-	if err := r.historiesAgree(); err != nil {
-		v = &Violation{Seed: seed, Checker: "unsafe-spec-history", At: r.net.Now(), Detail: err.Error()}
+	history := func(p ids.ProcessID) []xpaxos.Execution { return r.replicas[p].Executions() }
+	if err := simcluster.CheckHistories(r.procs, history); err != nil {
+		v = &Violation{Seed: seed, Checker: "unsafe-spec-history", At: r.cl.Net.Now(), Detail: err.Error()}
 	}
-	dump := ""
-	if v != nil || alwaysDump {
-		dump = r.forceDump(seed, v, pair)
-	}
-	if v != nil {
-		v.Dump = dump
-	}
-	return v, dump
+	return withDump(v, alwaysDump, func() string { return r.dump(seed, v) })
 }
 
 // disjointPair returns the lexicographically-first pair of disjoint
@@ -274,70 +255,30 @@ func quorumViewIndex(mq [][]ids.ProcessID, q []ids.ProcessID) int {
 	return 0
 }
 
-// historiesAgree is the sharded-history invariant on the single group:
-// any slot executed by two replicas must carry the same request.
-func (r *unsafeSpecRun) historiesAgree() error {
-	procs := r.idsCfg.All()
-	for i := 0; i < len(procs); i++ {
-		for j := i + 1; j < len(procs); j++ {
-			a := r.replicas[procs[i]].Executions()
-			b := r.replicas[procs[j]].Executions()
-			for x, y := 0, 0; x < len(a) && y < len(b); {
-				switch {
-				case a[x].Slot < b[y].Slot:
-					x++
-				case a[x].Slot > b[y].Slot:
-					y++
-				default:
-					if a[x].Client != b[y].Client || a[x].Seq != b[y].Seq {
-						return fmt.Errorf(
-							"histories diverge at slot %d: %s executed client=%d seq=%d, %s executed client=%d seq=%d",
-							a[x].Slot, procs[i], a[x].Client, a[x].Seq,
-							procs[j], b[y].Client, b[y].Seq)
-					}
-					x++
-					y++
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// gateDump renders the checker-only evidence.
-func (r *unsafeSpecRun) gateDump(seed int64, v *Violation) string {
+// dump renders the run's evidence: the checker verdicts and, for a
+// forced run, the staged disjoint quorums, per-replica end state
+// (including the active spec each node's kernel reports), and the
+// event-stream tail — all virtual-time deterministic, byte-identical
+// per seed.
+func (r *unsafeSpecRun) dump(seed int64, v *Violation) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos-unsafe-spec: seed=%d spec=%q force=%v\n", seed, r.cfg.Spec, r.cfg.Force)
 	for _, rep := range r.reports {
 		fmt.Fprintf(&b, "  %s\n", rep)
 	}
-	if v != nil {
-		fmt.Fprintf(&b, "violation: checker=%s\n  %s\n", v.Checker, v.Detail)
-	} else {
-		b.WriteString("no violation: checker rejected the spec before boot\n")
-	}
-	return b.String()
-}
-
-// forceDump renders the full forced-run evidence: checker verdicts, the
-// staged disjoint quorums, per-replica end state (including the active
-// spec each node's kernel reports), and the event-stream tail — all
-// virtual-time deterministic, byte-identical per seed.
-func (r *unsafeSpecRun) forceDump(seed int64, v *Violation, pair [2][]ids.ProcessID) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos-unsafe-spec: seed=%d spec=%q force=true\n", seed, r.cfg.Spec)
-	for _, rep := range r.reports {
-		fmt.Fprintf(&b, "  %s\n", rep)
+	if r.cl == nil {
+		if v != nil {
+			fmt.Fprintf(&b, "violation: checker=%s\n  %s\n", v.Checker, v.Detail)
+		} else {
+			b.WriteString("no violation: checker rejected the spec before boot\n")
+		}
+		return b.String()
 	}
 	fmt.Fprintf(&b, "schedule:\n  disjoint quorums %s | %s partitioned until %s; cross-cert request at %s\n",
-		ids.NewQuorum(pair[0]), ids.NewQuorum(pair[1]), r.cfg.HealAt, r.cfg.SettleAt)
-	if v != nil {
-		fmt.Fprintf(&b, "violation: checker=%s at=%s\n  %s\n", v.Checker, v.At, v.Detail)
-	} else {
-		b.WriteString("no violation (forced unsafe spec failed to fork — scenario bug)\n")
-	}
+		ids.NewQuorum(r.pair[0]), ids.NewQuorum(r.pair[1]), r.cfg.HealAt, r.cfg.SettleAt)
+	v.report(&b, "no violation (forced unsafe spec failed to fork — scenario bug)")
 	b.WriteString("replicas:\n")
-	for _, p := range r.idsCfg.All() {
+	for _, p := range r.procs {
 		rep := r.replicas[p]
 		spec := "<none>"
 		if sys := r.nodes[p].QuorumSystem(); sys != nil {
@@ -349,13 +290,6 @@ func (r *unsafeSpecRun) forceDump(seed int64, v *Violation, pair [2][]ids.Proces
 			fmt.Fprintf(&b, "    slot=%d client=%d seq=%d\n", e.Slot, e.Client, e.Seq)
 		}
 	}
-	evs := r.bus.Events()
-	if len(evs) > dumpEvents {
-		evs = evs[len(evs)-dumpEvents:]
-	}
-	fmt.Fprintf(&b, "events (last %d):\n", len(evs))
-	for _, e := range evs {
-		fmt.Fprintf(&b, "  %s\n", e)
-	}
+	r.cl.WriteEvents(&b)
 	return b.String()
 }
