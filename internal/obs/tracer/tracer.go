@@ -23,7 +23,6 @@ package tracer
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"quorumselect/internal/ids"
@@ -71,8 +70,6 @@ func (s Span) Context() wire.TraceContext {
 // endpoint reads while the event loop records) and safe on a nil
 // receiver: a nil *Tracer is the disabled tracer and records nothing.
 type Tracer struct {
-	disabled atomic.Bool
-
 	mu    sync.Mutex
 	ring  []Span
 	limit int    // retention bound; the ring grows lazily up to it
@@ -96,23 +93,8 @@ func New(capacity int) *Tracer {
 	}
 }
 
-// SetEnabled turns span recording on or off at runtime (a tracer
-// starts enabled). While disabled the tracer behaves like the nil
-// tracer — Start returns an inert Active — at the cost of one atomic
-// load per Start, so tracing can be toggled on a live node without
-// re-plumbing anything. Spans already open when recording is disabled
-// still record on End. Safe on a nil receiver.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.disabled.Store(!on)
-	}
-}
-
-// Enabled reports whether Start currently records spans.
-func (t *Tracer) Enabled() bool { return t != nil && !t.disabled.Load() }
-
 // Active is an open span: started, not yet recorded. The zero Active
-// (from a nil or disabled tracer) is inert — Context returns the
+// (from a nil tracer) is inert — Context returns the
 // untraced zero context and End records nothing — so protocol code
 // traces unconditionally.
 type Active struct {
@@ -124,7 +106,7 @@ type Active struct {
 // a new trace rooted at this span; otherwise the span joins the
 // parent's trace. Nothing is recorded until End.
 func (t *Tracer) Start(node ids.ProcessID, name string, parent wire.TraceContext, at time.Duration) Active {
-	if t == nil || t.disabled.Load() {
+	if t == nil {
 		return Active{}
 	}
 	t.mu.Lock()
