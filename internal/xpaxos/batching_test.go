@@ -20,6 +20,9 @@ import (
 type batchCluster struct {
 	net      *sim.Network
 	replicas map[ids.ProcessID]*xpaxos.Replica
+	// executed counts each replica's executions through OnExecute, so
+	// the run loop's stop check is O(1) per step.
+	executed map[ids.ProcessID]int
 }
 
 func newBatchCluster(tb testing.TB, n, f int, xopts xpaxos.Options) *batchCluster {
@@ -30,9 +33,14 @@ func newBatchClusterOpts(tb testing.TB, n, f int, xopts xpaxos.Options, nodeOpts
 	tb.Helper()
 	cfg := ids.MustConfig(n, f)
 	nodes := make(map[ids.ProcessID]runtime.Node, n)
-	c := &batchCluster{replicas: make(map[ids.ProcessID]*xpaxos.Replica, n)}
+	c := &batchCluster{
+		replicas: make(map[ids.ProcessID]*xpaxos.Replica, n),
+		executed: make(map[ids.ProcessID]int, n),
+	}
 	for _, p := range cfg.All() {
-		node, replica := xpaxos.NewQSNode(xopts, nodeOpts)
+		opts := xopts // the fixture owns OnExecute
+		opts.OnExecute = func(xpaxos.Execution) { c.executed[p]++ }
+		node, replica := xpaxos.NewQSNode(opts, nodeOpts)
 		c.replicas[p] = replica
 		nodes[p] = node
 	}
@@ -55,16 +63,10 @@ func (c *batchCluster) submitRange(from, to int) {
 func (c *batchCluster) runUntilExecuted(tb testing.TB, total int) {
 	tb.Helper()
 	ok := c.net.RunUntil(func() bool {
-		for _, p := range []ids.ProcessID{1, 2, 3} {
-			if len(c.replicas[p].Executions()) < total {
-				return false
-			}
-		}
-		return true
+		return c.executed[1] >= total && c.executed[2] >= total && c.executed[3] >= total
 	}, 60*time.Second)
 	if !ok {
-		tb.Fatalf("cluster stalled: leader executed %d/%d requests",
-			len(c.replicas[1].Executions()), total)
+		tb.Fatalf("cluster stalled: leader executed %d/%d requests", c.executed[1], total)
 	}
 }
 
